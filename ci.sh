@@ -206,10 +206,10 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
     # advantage over the boolean reference implementation (same-machine
     # ratio), with a broad Mlfm/s tripwire against the committed
     # baseline, the interleaved-batch speedup floor (>= 2x at width 8),
-    # the Pd = 2 pipeline-overlap makespan check, the SIMD+cache lfm
-    # speedup floor (1.2x when an AVX2/SSE2 lane dispatched, else ~0.9
-    # non-degradation), and a kernel-cache hit-rate > 0 check on the
-    # repeat-dense sweep.
+    # the Pd = 2 pipeline-overlap makespan check, the cached-vs-uncached
+    # lfm speedup floor (cache.speedup_vs_uncached >= 1.2x on every
+    # host), and a kernel-cache hit-rate > 0 check on the repeat-dense
+    # sweep.
     step "kernelbench smoke (packed LFM kernel)"
     cargo run -q --release -p bench --bin kernelbench -- \
         --quick --out target/ci/BENCH_kernel_smoke.json

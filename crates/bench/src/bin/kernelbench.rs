@@ -10,7 +10,9 @@
 //! throughput in Mlfm/s (millions of LFM compare stages per second).
 //! Both kernels run the identical logical structure and charge the
 //! identical `LogicalOp`s per call, so the ratio isolates the host-side
-//! representation change.
+//! representation change. A repeat-dense sweep then times the
+//! end-to-end `lfm` uncached against the same calls through a
+//! rank-checkpoint `KernelCache` (the JSON `cache` section).
 //!
 //! Results are written as JSON (default `BENCH_kernel.json`) and
 //! summarised on stderr; `ci.sh` runs the quick mode and feeds the
@@ -24,10 +26,8 @@ use std::time::Instant;
 use bioseq::Base;
 use mram::array::ArrayModel;
 use pim_aligner::{LfmBatchScratch, LfmRequest, MappedIndex, PimAlignerConfig};
-use pimsim::reference::{
-    packed_compare_stage, packed_compare_stage_with, reference_compare_stage, BoolSubArray,
-};
-use pimsim::{dispatched_path, CycleLedger, KernelCache, SimdPolicy, SubArray, SubArrayLayout};
+use pimsim::reference::{packed_compare_stage, reference_compare_stage, BoolSubArray};
+use pimsim::{CycleLedger, KernelCache, SubArray, SubArrayLayout};
 use readsim::genome;
 
 /// Speedup the packed kernel must reach over the reference in full mode.
@@ -154,7 +154,7 @@ fn main() {
     for i in 0..e2e_iters {
         let id = (i * 9_973) % (text_len + 1);
         let nt = Base::from_rank(i % 4);
-        e2e_sink += mapped.lfm(nt, id, &mut injector, &mut ledger) as u64;
+        e2e_sink += mapped.lfm(nt, id, &mut injector, None, &mut ledger) as u64;
     }
     let e2e_t = timing(e2e_iters, t0.elapsed().as_secs_f64());
     black_box(e2e_sink);
@@ -190,7 +190,7 @@ fn main() {
             let t0 = Instant::now();
             for k in 0..sweep_total {
                 let (nt, id) = sweep_req(k);
-                sums.push(mapped.lfm(nt, id, &mut injector, &mut ledger));
+                sums.push(mapped.lfm(nt, id, &mut injector, None, &mut ledger));
             }
             let wall = t0.elapsed().as_secs_f64();
             single_popcounts = ledger
@@ -211,6 +211,7 @@ fn main() {
                 mapped.lfm_batch_into(
                     &requests,
                     &mut [],
+                    None,
                     &mut ledger,
                     &mut scratch,
                     &mut step_sums,
@@ -248,80 +249,26 @@ fn main() {
         .unwrap_or(0.0);
     eprintln!("kernelbench: batch=8 is {speedup_at_8:.2}x the single-read kernel");
 
-    // SIMD kernel sweep (PR 9): the main compare-stage schedule replayed
-    // under the scalar policy (the PR-8 word loop) and the auto policy
-    // (runtime-dispatched SSE2/AVX2 plane combine + popcnt prefix
-    // count). Charges are identical by construction, so the ratio
-    // isolates the host-side lane change on the raw kernel — the number
-    // the CI gate floors.
-    // Warm-up pass + min-of-3: same noise discipline as the cache sweep
-    // below.
-    let run_kernel_policy = |policy: SimdPolicy| {
-        let mut wall = f64::INFINITY;
-        let mut sums = 0u64;
-        let mut cycles = 0u64;
-        for pass in 0..4 {
-            let mut ledger = CycleLedger::new();
-            sums = 0;
-            let t0 = Instant::now();
-            for &(bucket, base, sentinel, within) in &schedule {
-                sums += packed_compare_stage_with(
-                    &packed,
-                    bucket,
-                    base,
-                    sentinel,
-                    within,
-                    policy,
-                    None,
-                    &mut ledger,
-                ) as u64;
-            }
-            if pass > 0 {
-                wall = wall.min(t0.elapsed().as_secs_f64());
-            }
-            black_box(sums);
-            cycles = ledger.total_busy_cycles();
-        }
-        (wall, sums, cycles)
-    };
-    let (kscalar_s, kscalar_sum, kscalar_cycles) = run_kernel_policy(SimdPolicy::Scalar);
-    let (kauto_s, kauto_sum, kauto_cycles) = run_kernel_policy(SimdPolicy::Auto);
-    assert_eq!(kscalar_sum, sink, "scalar policy diverged from the oracle");
-    assert_eq!(kauto_sum, sink, "auto policy diverged from the oracle");
-    assert_eq!(
-        kscalar_cycles, kauto_cycles,
-        "the kernel policy moved simulated cycles"
-    );
-    let kscalar_t = timing(iterations, kscalar_s);
-    let kauto_t = timing(iterations, kauto_s);
-    let kernel_speedup = kauto_t.mlfm_per_s / kscalar_t.mlfm_per_s;
-    let path = dispatched_path(SimdPolicy::Auto);
-    eprintln!(
-        "kernelbench: simd kernel scalar {:.1} ms, auto[{path}] {:.1} ms — {kernel_speedup:.2}x",
-        kscalar_t.wall_ms, kauto_t.wall_ms
-    );
-
     // Rank-checkpoint cache sweep: the repeat-dense schedule replayed
-    // end-to-end under scalar (cache off) and auto (cache on), at the
-    // single-read width and the full kernel-batch width. The schedule
-    // revisits the same (bucket, base) checkpoints, so the cache
-    // converges to near-100% hits and a hit skips the plane compare and
-    // the 32-row marker gather on the host; sums must still equal the
-    // single-read oracle and the charged cycles must be identical — the
-    // policy is host-wall-clock only.
-    let simd_width = 8;
+    // end-to-end uncached (`None`) and cached (`Some(&mut cache)`), at
+    // the single-read width and the full kernel-batch width. The
+    // schedule revisits the same (bucket, base) checkpoints, so the
+    // cache converges to near-100% hits and a hit skips the plane
+    // compare and the 32-row marker gather on the host; sums must still
+    // equal the single-read oracle and the charged cycles must be
+    // identical — the cache is host-wall-clock only.
+    let cache_width = 8;
     // Each timed measurement repeats the sweep and keeps the *fastest*
     // pass: scheduler interference on a busy 1-core CI runner only ever
     // adds time, so the minimum is the noise-robust estimator for a
-    // speedup ratio. One untimed warm-up pass per policy faults in
-    // pages and trains predictors (and, for auto, fills the cache to
-    // its repeat-dense steady state) before the clock starts.
-    let simd_passes = 5;
-    let run_policy = |width: usize, policy: SimdPolicy, cache: Option<&mut KernelCache>| {
-        let mut cache = cache;
+    // speedup ratio. One untimed warm-up pass per run faults in pages
+    // and trains predictors (and, when cached, fills the cache to its
+    // repeat-dense steady state) before the clock starts.
+    let cache_passes = 5;
+    let run_sweep = |width: usize, mut cache: Option<&mut KernelCache>| {
         let mut wall_s = f64::INFINITY;
         let mut last: Option<(Vec<u32>, CycleLedger)> = None;
-        for pass in 0..simd_passes + 1 {
+        for pass in 0..cache_passes + 1 {
             let mut ledger = CycleLedger::new();
             let mut sums = Vec::with_capacity(sweep_total);
             let t0 = Instant::now();
@@ -329,14 +276,7 @@ fn main() {
                 let mut injector = mapped.session_injector();
                 for k in 0..sweep_total {
                     let (nt, id) = sweep_req(k);
-                    sums.push(mapped.lfm_with(
-                        nt,
-                        id,
-                        &mut injector,
-                        policy,
-                        cache.as_deref_mut(),
-                        &mut ledger,
-                    ));
+                    sums.push(mapped.lfm(nt, id, &mut injector, cache.as_deref_mut(), &mut ledger));
                 }
             } else {
                 let mut requests = Vec::with_capacity(width);
@@ -348,10 +288,9 @@ fn main() {
                         let (nt, id) = sweep_req(chunk * width + s);
                         requests.push(LfmRequest { stream: s, nt, id });
                     }
-                    mapped.lfm_batch_into_with(
+                    mapped.lfm_batch_into(
                         &requests,
                         &mut [],
-                        policy,
                         cache.as_deref_mut(),
                         &mut ledger,
                         &mut scratch,
@@ -369,55 +308,55 @@ fn main() {
         let (sums, ledger) = last.expect("at least one pass ran");
         (wall_s, sums, ledger)
     };
-    let (single_scalar_s, ss_sums, ss_ledger) = run_policy(1, SimdPolicy::Scalar, None);
+    let (single_uncached_s, su_sums, su_ledger) = run_sweep(1, None);
     let mut cache1 = KernelCache::new();
-    let (single_auto_s, sa_sums, sa_ledger) = run_policy(1, SimdPolicy::Auto, Some(&mut cache1));
-    let (scalar_s, scalar_sums, scalar_ledger) = run_policy(simd_width, SimdPolicy::Scalar, None);
+    let (single_cached_s, sc_sums, sc_ledger) = run_sweep(1, Some(&mut cache1));
+    let (uncached_s, uncached_sums, uncached_ledger) = run_sweep(cache_width, None);
     let mut cache = KernelCache::new();
-    let (auto_s, auto_sums, auto_ledger) =
-        run_policy(simd_width, SimdPolicy::Auto, Some(&mut cache));
-    let oracle1 = oracle_sums.as_ref().expect("width sweep ran first");
-    assert_eq!(&ss_sums, oracle1, "scalar single-read diverged from oracle");
-    assert_eq!(&sa_sums, oracle1, "auto single-read diverged from oracle");
-    assert_eq!(
-        ss_ledger.total_busy_cycles(),
-        sa_ledger.total_busy_cycles(),
-        "the kernel policy moved single-read simulated cycles"
-    );
-    assert_eq!(ss_ledger.primitives(), sa_ledger.primitives());
-    let single_scalar_t = timing(sweep_total, single_scalar_s);
-    let single_auto_t = timing(sweep_total, single_auto_s);
-    let single_speedup = single_auto_t.mlfm_per_s / single_scalar_t.mlfm_per_s;
-    let single_cache_stats = sa_ledger.kernel_cache_counters();
-    eprintln!(
-        "kernelbench: simd lfm    scalar {:.1} ms, auto {:.1} ms — {single_speedup:.2}x, \
-         cache {:.1}% hits",
-        single_scalar_t.wall_ms,
-        single_auto_t.wall_ms,
-        single_cache_stats.hit_rate() * 100.0,
-    );
+    let (cached_s, cached_sums, cached_ledger) = run_sweep(cache_width, Some(&mut cache));
     let oracle = oracle_sums.as_ref().expect("width sweep ran first");
-    assert_eq!(&scalar_sums, oracle, "scalar policy disagrees with oracle");
-    assert_eq!(&auto_sums, oracle, "auto policy disagrees with oracle");
-    assert_eq!(
-        scalar_ledger.total_busy_cycles(),
-        auto_ledger.total_busy_cycles(),
-        "the kernel policy moved simulated cycles"
-    );
-    assert_eq!(
-        scalar_ledger.primitives(),
-        auto_ledger.primitives(),
-        "the kernel policy moved primitive charges"
-    );
-    let scalar_t = timing(sweep_total, scalar_s);
-    let auto_t = timing(sweep_total, auto_s);
-    let e2e_simd_speedup = auto_t.mlfm_per_s / scalar_t.mlfm_per_s;
-    let cache_stats = auto_ledger.kernel_cache_counters();
+    for (label, sums, cached, uncached) in [
+        ("single-read", [&su_sums, &sc_sums], &sc_ledger, &su_ledger),
+        (
+            "batch-8",
+            [&uncached_sums, &cached_sums],
+            &cached_ledger,
+            &uncached_ledger,
+        ),
+    ] {
+        for sums in sums {
+            assert_eq!(sums, oracle, "{label} cache sweep diverged from the oracle");
+        }
+        assert_eq!(
+            uncached.total_busy_cycles(),
+            cached.total_busy_cycles(),
+            "the cache moved {label} simulated cycles"
+        );
+        assert_eq!(
+            uncached.primitives(),
+            cached.primitives(),
+            "the cache moved {label} primitive charges"
+        );
+    }
+    let single_uncached_t = timing(sweep_total, single_uncached_s);
+    let single_cached_t = timing(sweep_total, single_cached_s);
+    let single_speedup = single_cached_t.mlfm_per_s / single_uncached_t.mlfm_per_s;
     eprintln!(
-        "kernelbench: simd e2e    scalar {:.1} ms, auto {:.1} ms — {e2e_simd_speedup:.2}x, \
-         cache {:.1}% hits ({} evictions)",
-        scalar_t.wall_ms,
-        auto_t.wall_ms,
+        "kernelbench: cache lfm   uncached {:.1} ms, cached {:.1} ms — {single_speedup:.2}x, \
+         {:.1}% hits",
+        single_uncached_t.wall_ms,
+        single_cached_t.wall_ms,
+        sc_ledger.kernel_cache_counters().hit_rate() * 100.0,
+    );
+    let uncached_t = timing(sweep_total, uncached_s);
+    let cached_t = timing(sweep_total, cached_s);
+    let batch8_speedup = cached_t.mlfm_per_s / uncached_t.mlfm_per_s;
+    let cache_stats = cached_ledger.kernel_cache_counters();
+    eprintln!(
+        "kernelbench: cache e2e   uncached {:.1} ms, cached {:.1} ms — {batch8_speedup:.2}x, \
+         {:.1}% hits ({} evictions)",
+        uncached_t.wall_ms,
+        cached_t.wall_ms,
         cache_stats.hit_rate() * 100.0,
         cache_stats.evictions
     );
@@ -488,14 +427,12 @@ fn main() {
          \"e2e_lfm\": {{ \"iterations\": {e2e_iters}, \"wall_ms\": {:.3}, \"mlfm_per_s\": {:.3} }},\n  \
          \"batch\": {{ \"requests\": {sweep_total}, \"widths\": [{widths_json}], \
          \"speedup_at_8\": {speedup_at_8:.3} }},\n  \
-         \"simd\": {{ \"dispatched_path\": \"{path}\", \
-         \"kernel_speedup\": {kernel_speedup:.3}, \
-         \"speedup_vs_scalar\": {single_speedup:.3}, \
-         \"batch8_speedup\": {e2e_simd_speedup:.3}, \
-         \"scalar\": {{ \"wall_ms\": {:.3}, \"mlfm_per_s\": {:.3} }}, \
-         \"auto\": {{ \"wall_ms\": {:.3}, \"mlfm_per_s\": {:.3} }}, \
-         \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-         \"hit_rate\": {:.6} }} }},\n  \
+         \"cache\": {{ \"speedup_vs_uncached\": {single_speedup:.3}, \
+         \"batch8_speedup\": {batch8_speedup:.3}, \
+         \"uncached\": {{ \"wall_ms\": {:.3}, \"mlfm_per_s\": {:.3} }}, \
+         \"cached\": {{ \"wall_ms\": {:.3}, \"mlfm_per_s\": {:.3} }}, \
+         \"hits\": {}, \"misses\": {}, \"evictions\": {}, \
+         \"hit_rate\": {:.6} }},\n  \
          \"pipeline\": {{ \"issued\": {}, \"pd1_makespan_cycles\": {}, \
          \"pd2_makespan_cycles\": {}, \"pd2_overlap_saved_cycles\": {} }}\n}}",
         packed_t.wall_ms,
@@ -504,10 +441,10 @@ fn main() {
         reference_t.mlfm_per_s,
         e2e_t.wall_ms,
         e2e_t.mlfm_per_s,
-        single_scalar_t.wall_ms,
-        single_scalar_t.mlfm_per_s,
-        single_auto_t.wall_ms,
-        single_auto_t.mlfm_per_s,
+        single_uncached_t.wall_ms,
+        single_uncached_t.mlfm_per_s,
+        single_cached_t.wall_ms,
+        single_cached_t.mlfm_per_s,
         cache_stats.hits,
         cache_stats.misses,
         cache_stats.evictions,

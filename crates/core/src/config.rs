@@ -3,7 +3,6 @@
 use mram::array::{ArrayModel, ChipOrg};
 use mram::faults::{FaultCampaign, FaultModel};
 use pimsim::pipeline::PipelineParams;
-use pimsim::SimdPolicy;
 
 /// Default kernel batch width: how many reads the parallel engine
 /// interleaves into one `LfmBatch` step
@@ -138,7 +137,6 @@ pub struct PimAlignerConfig {
     chip: ChipOrg,
     pipeline: PipelineParams,
     kernel_batch: usize,
-    kernel_simd: SimdPolicy,
     max_diffs: u8,
     allow_indels: bool,
     exhaustive_inexact: bool,
@@ -157,7 +155,6 @@ impl PimAlignerConfig {
             chip: ChipOrg::default(),
             pipeline: PipelineParams::default(),
             kernel_batch: DEFAULT_KERNEL_BATCH,
-            kernel_simd: SimdPolicy::Auto,
             max_diffs: 2,
             allow_indels: true,
             exhaustive_inexact: false,
@@ -207,18 +204,6 @@ impl PimAlignerConfig {
     pub fn with_kernel_batch(mut self, batch: usize) -> PimAlignerConfig {
         assert!(batch >= 1, "kernel batch must be at least 1");
         self.kernel_batch = batch;
-        self
-    }
-
-    /// Sets the kernel SIMD policy (`--kernel-simd`):
-    /// [`SimdPolicy::Auto`] (the default) dispatches the plane ops to
-    /// the widest lane the CPU supports and enables the rank-checkpoint
-    /// cache; [`SimdPolicy::Scalar`] forces the portable word loop with
-    /// no cache — the exact pre-SIMD kernel. Alignment results, SAM
-    /// output and every simulated counter are byte-identical across
-    /// policies — only host wall clock changes.
-    pub fn with_kernel_simd(mut self, policy: SimdPolicy) -> PimAlignerConfig {
-        self.kernel_simd = policy;
         self
     }
 
@@ -356,11 +341,6 @@ impl PimAlignerConfig {
         self.kernel_batch
     }
 
-    /// The kernel SIMD policy.
-    pub fn kernel_simd(&self) -> SimdPolicy {
-        self.kernel_simd
-    }
-
     /// The inexact-stage difference budget.
     pub fn max_diffs(&self) -> u8 {
         self.max_diffs
@@ -396,14 +376,6 @@ mod tests {
         let c = PimAlignerConfig::baseline();
         assert_eq!(c.pd(), 1);
         assert_eq!(c.method(), AddMethod::InPlace);
-    }
-
-    #[test]
-    fn kernel_simd_defaults_to_auto_and_round_trips() {
-        let c = PimAlignerConfig::baseline();
-        assert_eq!(c.kernel_simd(), SimdPolicy::Auto);
-        let c = c.with_kernel_simd(SimdPolicy::Scalar);
-        assert_eq!(c.kernel_simd(), SimdPolicy::Scalar);
     }
 
     #[test]

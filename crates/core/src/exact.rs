@@ -2,7 +2,7 @@
 
 use bioseq::DnaSeq;
 use fmindex::SaInterval;
-use pimsim::{CycleLedger, Dpu, FaultInjector, KernelCache, SimdPolicy};
+use pimsim::{CycleLedger, Dpu, FaultInjector, KernelCache};
 
 use crate::mapping::{LfmBatchScratch, LfmRequest, MappedIndex};
 
@@ -20,38 +20,17 @@ pub struct ExactStats {
 /// the in-memory `LFM` procedure, stopping early when `low ≥ high`.
 ///
 /// The index is shared and immutable; the caller supplies the session's
-/// own fault-injection stream, DPU and ledger.
+/// own fault-injection stream, DPU, optional rank-checkpoint cache
+/// (threaded into every `LFM`, see [`MappedIndex::lfm`]) and ledger.
 ///
 /// Returns the final interval (empty = no exact match) plus statistics
-/// for the performance model.
+/// for the performance model; both, and every simulated charge, are
+/// byte-identical with and without the cache.
 pub fn exact_search(
     mapped: &MappedIndex,
     injector: &mut FaultInjector,
     dpu: &mut Dpu,
     read: &DnaSeq,
-    ledger: &mut CycleLedger,
-) -> (SaInterval, ExactStats) {
-    exact_search_with(
-        mapped,
-        injector,
-        dpu,
-        read,
-        SimdPolicy::Scalar,
-        None,
-        ledger,
-    )
-}
-
-/// [`exact_search`] under a SIMD policy and an optional rank-checkpoint
-/// cache, both threaded into every `LFM` (see
-/// [`MappedIndex::lfm_with`]). Intervals, statistics and all simulated
-/// charges are byte-identical across policies.
-pub fn exact_search_with(
-    mapped: &MappedIndex,
-    injector: &mut FaultInjector,
-    dpu: &mut Dpu,
-    read: &DnaSeq,
-    policy: SimdPolicy,
     mut cache: Option<&mut KernelCache>,
     ledger: &mut CycleLedger,
 ) -> (SaInterval, ExactStats) {
@@ -62,19 +41,17 @@ pub fn exact_search_with(
     };
     for &nt in read.iter().rev() {
         let t_lfm = dpu.tracer().start(ledger);
-        let low = mapped.lfm_with(
+        let low = mapped.lfm(
             nt,
             dpu.low() as usize,
             injector,
-            policy,
             cache.as_deref_mut(),
             ledger,
         );
-        let high = mapped.lfm_with(
+        let high = mapped.lfm(
             nt,
             dpu.high() as usize,
             injector,
-            policy,
             cache.as_deref_mut(),
             ledger,
         );
@@ -104,25 +81,13 @@ pub fn exact_search_with(
 /// exactly like the single-read path: one `IndexUpdate` at
 /// initialisation, one per consumed step. Reads drop out of the batch
 /// on early failure (`low ≥ high`) or exhaustion, exactly like the
-/// single-read early exit.
+/// single-read early exit. The optional rank-checkpoint `cache` feeds
+/// every step's shared compare stage (see
+/// [`MappedIndex::lfm_batch_into`]) without moving a result or charge.
 pub fn exact_search_batch(
     mapped: &MappedIndex,
     injectors: &mut [FaultInjector],
     reads: &[&DnaSeq],
-    ledger: &mut CycleLedger,
-) -> Vec<(SaInterval, ExactStats)> {
-    exact_search_batch_with(mapped, injectors, reads, SimdPolicy::Scalar, None, ledger)
-}
-
-/// [`exact_search_batch`] under a SIMD policy and an optional
-/// rank-checkpoint cache (see [`MappedIndex::lfm_batch_into_with`]).
-/// Results, statistics and all simulated charges are byte-identical
-/// across policies.
-pub fn exact_search_batch_with(
-    mapped: &MappedIndex,
-    injectors: &mut [FaultInjector],
-    reads: &[&DnaSeq],
-    policy: SimdPolicy,
     mut cache: Option<&mut KernelCache>,
     ledger: &mut CycleLedger,
 ) -> Vec<(SaInterval, ExactStats)> {
@@ -175,10 +140,9 @@ pub fn exact_search_batch_with(
         if requests.is_empty() {
             break;
         }
-        mapped.lfm_batch_into_with(
+        mapped.lfm_batch_into(
             &requests,
             injectors,
-            policy,
             cache.as_deref_mut(),
             ledger,
             &mut scratch,
@@ -224,7 +188,8 @@ mod tests {
         let reference: DnaSeq = "TGCTA".parse().unwrap();
         let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
         let read: DnaSeq = "CTA".parse().unwrap();
-        let (interval, stats) = exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
+        let (interval, stats) =
+            exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
         assert_eq!(interval.count(), 1);
         assert_eq!(mapped.locate(interval, &mut ledger), vec![2]);
         assert_eq!(stats.lfm_calls, 6);
@@ -238,7 +203,8 @@ mod tests {
         let oracle = mapped.index().clone();
         for start in (0..49_000).step_by(1_777) {
             let read = reference.subseq(start..start + 60);
-            let (interval, _) = exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
+            let (interval, _) =
+                exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
             let sw = oracle.backward_search(&read);
             match sw {
                 Some(expected) => assert_eq!(interval, expected, "read at {start}"),
@@ -253,7 +219,8 @@ mod tests {
         let reference: DnaSeq = "AAAAAAAAAA".parse().unwrap();
         let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
         let read: DnaSeq = "AAAAAAAACT".parse().unwrap(); // rightmost T absent
-        let (interval, stats) = exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
+        let (interval, stats) =
+            exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
         assert!(interval.is_empty());
         assert_eq!(stats.bases_consumed, 1);
         assert_eq!(stats.lfm_calls, 2);
@@ -270,12 +237,18 @@ mod tests {
         reads.push("".parse().unwrap());
         let refs: Vec<&DnaSeq> = reads.iter().collect();
         let mut batch_ledger = CycleLedger::new();
-        let batched = exact_search_batch(&mapped, &mut [], &refs, &mut batch_ledger);
+        let batched = exact_search_batch(&mapped, &mut [], &refs, None, &mut batch_ledger);
         assert_eq!(batched.len(), reads.len());
         let mut single_ledger = CycleLedger::new();
         for (read, (interval, stats)) in reads.iter().zip(&batched) {
-            let (expected, expected_stats) =
-                exact_search(&mapped, &mut injector, &mut dpu, read, &mut single_ledger);
+            let (expected, expected_stats) = exact_search(
+                &mapped,
+                &mut injector,
+                &mut dpu,
+                read,
+                None,
+                &mut single_ledger,
+            );
             assert_eq!(*interval, expected);
             assert_eq!(*stats, expected_stats);
         }
@@ -316,12 +289,12 @@ mod tests {
             .map(|r| mapped.read_injector(r as u64))
             .collect();
         let mut ledger = CycleLedger::new();
-        let batched = exact_search_batch(&mapped, &mut injectors, &refs, &mut ledger);
+        let batched = exact_search_batch(&mapped, &mut injectors, &refs, None, &mut ledger);
         for (r, read) in reads.iter().enumerate() {
             let mut oracle = mapped.read_injector(r as u64);
             let mut dpu = Dpu::new(mapped.model());
             let (expected, expected_stats) =
-                exact_search(&mapped, &mut oracle, &mut dpu, read, &mut ledger);
+                exact_search(&mapped, &mut oracle, &mut dpu, read, None, &mut ledger);
             assert_eq!(batched[r], (expected, expected_stats), "read {r}");
             assert_eq!(injectors[r].counters(), oracle.counters(), "read {r}");
         }
@@ -336,7 +309,8 @@ mod tests {
         assert!(mapped.subarray_count() >= 3);
         for &start in &[32_700usize, 32_760, 65_500] {
             let read = reference.subseq(start..start + 100);
-            let (interval, _) = exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
+            let (interval, _) =
+                exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
             assert!(!interval.is_empty(), "boundary read at {start} failed");
             assert!(mapped.locate(interval, &mut ledger).contains(&start));
         }

@@ -87,7 +87,7 @@ pub fn seed_and_extend(
         let seed = read.subseq(offset..offset + config.seed_len);
         let (interval, _) = {
             let (mapped, injector, dpu, ledger) = aligner.platform_parts();
-            exact_search(mapped, injector, dpu, &seed, ledger)
+            exact_search(mapped, injector, dpu, &seed, None, ledger)
         };
         if interval.is_empty() || interval.count() as usize > config.max_candidates_per_seed {
             continue;

@@ -131,8 +131,8 @@ fn search_impl(
         // explored first (depth-first greedy continuation).
         let mut match_branch: Option<Frame> = None;
         for b in Base::ALL {
-            let low = mapped.lfm(b, frame.low as usize, injector, ledger);
-            let high = mapped.lfm(b, frame.high as usize, injector, ledger);
+            let low = mapped.lfm(b, frame.low as usize, injector, None, ledger);
+            let high = mapped.lfm(b, frame.high as usize, injector, None, ledger);
             stats.lfm_calls += 2;
             dpu.set_interval(low, high, ledger);
             if dpu.interval_empty() {

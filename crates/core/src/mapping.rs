@@ -17,8 +17,8 @@ use mram::faults::FaultCampaign;
 use pimsim::costs::LogicalOp;
 use pimsim::pipeline::{PipelineParams, PipelineSim};
 use pimsim::{
-    CycleLedger, FaultCounters, FaultInjector, KernelCache, LfmBatch, MatchMask, SimdPolicy,
-    SubArray, SubArrayLayout,
+    CycleLedger, FaultCounters, FaultInjector, KernelCache, LfmBatch, MatchMask, SubArray,
+    SubArrayLayout,
 };
 
 use crate::config::{AddMethod, PimAlignerConfig};
@@ -345,6 +345,16 @@ impl MappedIndex {
     /// the alignment-time fault stream (transient bursts, sense
     /// misreads, carry kills) and accumulates the injection counters.
     ///
+    /// `cache` is the session's optional rank-checkpoint cache. It
+    /// memoizes the compare stage — `(sub-array, bucket, nt) →
+    /// (post-sentinel match mask, marker)`, both pure functions of the
+    /// immutable index — so a hit skips the plane load and the 32-row
+    /// marker gather on the host while charging the platform the exact
+    /// op sequence a recompute pays (`XNOR_Match`, popcount, marker
+    /// `MEM`, in that order). Results, every simulated counter and the
+    /// seeded fault stream are byte-identical with and without it,
+    /// pinned by test.
+    ///
     /// # Panics
     ///
     /// Panics if `id` exceeds the indexed text length.
@@ -353,30 +363,6 @@ impl MappedIndex {
         nt: Base,
         id: usize,
         injector: &mut FaultInjector,
-        ledger: &mut CycleLedger,
-    ) -> u32 {
-        self.lfm_with(nt, id, injector, SimdPolicy::Scalar, None, ledger)
-    }
-
-    /// [`MappedIndex::lfm`] under a SIMD policy and an optional
-    /// rank-checkpoint cache. The cache memoizes the compare stage —
-    /// `(sub-array, bucket, nt) → (post-sentinel match mask, marker)`,
-    /// both pure functions of the immutable index — so a hit skips the
-    /// plane load and the 32-row marker gather on the host while
-    /// charging the platform the exact op sequence a recompute pays
-    /// (`XNOR_Match`, popcount, marker `MEM`, in that order). Results,
-    /// every simulated counter and the seeded fault stream are
-    /// byte-identical across policies, pinned by test.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` exceeds the indexed text length.
-    pub fn lfm_with(
-        &self,
-        nt: Base,
-        id: usize,
-        injector: &mut FaultInjector,
-        policy: SimdPolicy,
         cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
     ) -> u32 {
@@ -420,7 +406,7 @@ impl MappedIndex {
                     // Stack-allocated packed match mask: the whole
                     // compare stage runs on [u64; 2] words, no heap
                     // traffic per LFM.
-                    let mut matches = sub.xnor_match_with(lb, nt, policy, ledger);
+                    let mut matches = sub.xnor_match(lb, nt, ledger);
                     // The 2-bit code space cannot represent `$`, so the
                     // sentinel cell is stored with a placeholder code
                     // (T). The DPU knows the sentinel's position and
@@ -455,7 +441,7 @@ impl MappedIndex {
                 injector.transient_row_mask(&mut matches);
                 injector.corrupt_match_mask(&mut matches, within);
             }
-            let count = matches.count_prefix_with(within, policy);
+            let count = matches.count_prefix(within);
             (count, marker)
         };
         let carry_fault = injector.carry_fault_bit();
@@ -518,7 +504,7 @@ impl MappedIndex {
     ) -> Vec<u32> {
         let mut scratch = LfmBatchScratch::new();
         let mut sums = Vec::new();
-        self.lfm_batch_into(requests, injectors, ledger, &mut scratch, &mut sums);
+        self.lfm_batch_into(requests, injectors, None, ledger, &mut scratch, &mut sums);
         sums
     }
 
@@ -528,37 +514,15 @@ impl MappedIndex {
     /// cleared then filled with one result per request. Lock-step
     /// drivers ([`crate::exact::exact_search_batch`]) reuse one scratch
     /// across every step of a batch.
+    ///
+    /// `cache` is the optional rank-checkpoint cache (see
+    /// [`MappedIndex::lfm`]): the shared compare stage consults/feeds it
+    /// per `(sub-array, bucket, nt)` group. Sums, charges and fault
+    /// draws are byte-identical with and without it.
     pub fn lfm_batch_into(
         &self,
         requests: &[LfmRequest],
         injectors: &mut [FaultInjector],
-        ledger: &mut CycleLedger,
-        scratch: &mut LfmBatchScratch,
-        sums: &mut Vec<u32>,
-    ) {
-        self.lfm_batch_into_with(
-            requests,
-            injectors,
-            SimdPolicy::Scalar,
-            None,
-            ledger,
-            scratch,
-            sums,
-        )
-    }
-
-    /// [`MappedIndex::lfm_batch_into`] under a SIMD policy and an
-    /// optional rank-checkpoint cache (see [`MappedIndex::lfm_with`]):
-    /// the shared compare stage consults/feeds the cache per
-    /// `(sub-array, bucket, nt)` group and the per-request popcounts
-    /// dispatch to the policy's lane. Sums, charges and fault draws are
-    /// byte-identical across policies and cache states.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lfm_batch_into_with(
-        &self,
-        requests: &[LfmRequest],
-        injectors: &mut [FaultInjector],
-        policy: SimdPolicy,
         mut cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
         scratch: &mut LfmBatchScratch,
@@ -625,10 +589,9 @@ impl MappedIndex {
                 sentinel_bucket % 256,
                 sentinel % SubArrayLayout::BASES_PER_ROW,
             ));
-            let groups = batch.run_compare_with(
+            let groups = batch.run_compare(
                 &self.subarrays[s],
                 local_sentinel,
-                policy,
                 cache.as_deref_mut(),
                 s as u32,
                 ledger,
@@ -669,7 +632,7 @@ impl MappedIndex {
                     let batch = &pool[slot as usize];
                     let i = idx as usize;
                     (
-                        batch.mask(i).count_prefix_with(batch.within(i), policy),
+                        batch.mask(i).count_prefix(batch.within(i)),
                         batch.marker(i),
                         !batch.is_leader(i),
                     )
@@ -691,9 +654,9 @@ impl MappedIndex {
                             let mut mask = *batch.mask(i);
                             injector.transient_row_mask(&mut mask);
                             injector.corrupt_match_mask(&mut mask, within);
-                            mask.count_prefix_with(within, policy)
+                            mask.count_prefix(within)
                         }
-                        _ => batch.mask(i).count_prefix_with(within, policy),
+                        _ => batch.mask(i).count_prefix(within),
                     };
                     (count, batch.marker(i), !batch.is_leader(i))
                 };
@@ -783,7 +746,7 @@ mod tests {
         ids.push(oracle.text_len());
         for id in ids {
             for base in Base::ALL {
-                let hw = m.lfm(base, id, &mut injector, &mut ledger);
+                let hw = m.lfm(base, id, &mut injector, None, &mut ledger);
                 let sw = oracle.marker_table().lfm(oracle.bwt(), base, id);
                 assert_eq!(hw, sw, "LFM mismatch at id={id} base={base}");
             }
@@ -800,7 +763,7 @@ mod tests {
         for id in (0..oracle.text_len()).step_by(977) {
             for base in Base::ALL {
                 assert_eq!(
-                    m.lfm(base, id, &mut injector, &mut ledger),
+                    m.lfm(base, id, &mut injector, None, &mut ledger),
                     oracle.marker_table().lfm(oracle.bwt(), base, id)
                 );
             }
@@ -830,7 +793,7 @@ mod tests {
         let m = mapped(&reference, AddMethod::InPlace);
         let mut injector = m.session_injector();
         let mut ledger = CycleLedger::new();
-        let _ = m.lfm(Base::A, 99, &mut injector, &mut ledger);
+        let _ = m.lfm(Base::A, 99, &mut injector, None, &mut ledger);
     }
 
     #[test]
@@ -883,7 +846,7 @@ mod tests {
         let mut injector = m.session_injector();
         let singles: Vec<u32> = requests
             .iter()
-            .map(|r| m.lfm(r.nt, r.id, &mut injector, &mut single_ledger))
+            .map(|r| m.lfm(r.nt, r.id, &mut injector, None, &mut single_ledger))
             .collect();
         assert_eq!(sums, singles);
         // requests 0 and 1 share one plane load: 3 XNORs, not 4.
@@ -940,11 +903,76 @@ mod tests {
         let mut oracle = [m.read_injector(0), m.read_injector(1)];
         let expected: Vec<u32> = requests
             .iter()
-            .map(|r| m.lfm(r.nt, r.id, &mut oracle[r.stream], &mut ledger))
+            .map(|r| m.lfm(r.nt, r.id, &mut oracle[r.stream], None, &mut ledger))
             .collect();
         assert_eq!(batched, expected);
         for s in 0..2 {
             assert_eq!(injectors[s].counters(), oracle[s].counters(), "stream {s}");
+        }
+    }
+
+    #[test]
+    fn cached_lfm_replays_uncached_results_faults_and_charges() {
+        use mram::faults::FaultModel;
+        let campaign = FaultCampaign::seeded(41)
+            .with_model(FaultModel::with_probabilities(0.03, 0.0))
+            .with_transient_row_rate(0.1)
+            .with_carry_fault_prob(0.05);
+        let reference = genome::uniform(70_000, 12);
+        for method in [AddMethod::InPlace, AddMethod::Mirrored] {
+            let config = match method {
+                AddMethod::InPlace => PimAlignerConfig::baseline(),
+                AddMethod::Mirrored => PimAlignerConfig::pipelined(),
+            }
+            .with_fault_campaign(campaign);
+            let m = MappedIndex::build(&reference, &config);
+            let text_len = m.index().text_len();
+            // One request schedule spanning every sub-array plus the
+            // boundary checkpoint, revisiting buckets within a round.
+            let schedule: Vec<(Base, usize)> = (0..64)
+                .map(|k| (Base::from_rank(k % 4), (k * 4_391) % (text_len + 1)))
+                .chain([(Base::C, text_len), (Base::A, 129), (Base::A, 200)])
+                .collect();
+            let mut cache = KernelCache::new();
+            let (mut cached_inj, mut uncached_inj) = (m.read_injector(0), m.read_injector(0));
+            let mut cached_ledger = CycleLedger::new();
+            let mut uncached_ledger = CycleLedger::new();
+            for round in 0..3 {
+                for &(nt, id) in &schedule {
+                    let cached = m.lfm(
+                        nt,
+                        id,
+                        &mut cached_inj,
+                        Some(&mut cache),
+                        &mut cached_ledger,
+                    );
+                    let uncached = m.lfm(nt, id, &mut uncached_inj, None, &mut uncached_ledger);
+                    assert_eq!(cached, uncached, "{method:?} round {round} LFM({nt}, {id})");
+                }
+                assert_eq!(cached_inj.counters(), uncached_inj.counters(), "{method:?}");
+                assert_eq!(
+                    cached_ledger.total_busy_cycles(),
+                    uncached_ledger.total_busy_cycles(),
+                    "{method:?} round {round}"
+                );
+                assert_eq!(cached_ledger.energy_pj(), uncached_ledger.energy_pj());
+                assert_eq!(cached_ledger.primitives(), uncached_ledger.primitives());
+                if round > 0 {
+                    assert!(
+                        cached_ledger.kernel_cache_counters().hits > 0,
+                        "{method:?}: repeat rounds must hit the cache"
+                    );
+                }
+            }
+            // Every alignment-time fault class actually fired.
+            let injected = cached_inj.counters();
+            assert!(
+                injected.xnor_bit_flips > 0
+                    && injected.transient_row_faults > 0
+                    && injected.carry_faults > 0,
+                "{method:?}: campaign too quiet: {injected:?}"
+            );
+            assert_eq!(uncached_ledger.kernel_cache_counters().lookups(), 0);
         }
     }
 

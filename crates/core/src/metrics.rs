@@ -36,12 +36,13 @@ use crate::report::{FaultTelemetry, IndexTelemetry, ObsTelemetry, PerfReport, Se
 /// `makespan_cycles`, `sequential_cycles`, `overlap_saved_cycles`,
 /// all-zero on the single-read kernel path). v6 added
 /// `breakdown.kernel_cache` (rank-checkpoint cache `hits`/`misses`/
-/// `evictions`/`hit_rate` — host-side counters, all-zero under
-/// `--kernel-simd=scalar`). v7 added the top-level `obs` section
-/// (observability-plane summary: rolling-window ring geometry, watchdog
-/// stall verdicts and the bounded slow-request log — all-zero/empty for
-/// one-shot CLI runs; the *live* windowed views travel over the wire
-/// via `Request::Stats`, not through this document). Each version
+/// `evictions`/`hit_rate` — host-side counters of the exact stage's
+/// lookups; the inexact stage runs uncached). v7 added the top-level
+/// `obs` section (observability-plane summary: rolling-window ring
+/// geometry, watchdog stall verdicts and the bounded slow-request log —
+/// all-zero/empty for one-shot CLI runs; the *live* windowed views
+/// travel over the wire via `Request::Stats`, not through this
+/// document). Each version
 /// only *adds* paths, so consumers that address fields by name keep
 /// working across versions.
 pub const METRICS_SCHEMA_VERSION: u32 = 7;
@@ -157,7 +158,7 @@ pub struct MetricsBreakdown {
     /// Pipeline stage occupancy at the configured `Pd`.
     pub pipeline: StageOccupancy,
     /// Rank-checkpoint cache totals (host-side hit/miss/eviction
-    /// counts; all-zero when the cache is disabled).
+    /// counts; all-zero for ledgers that never ran the exact stage).
     pub kernel_cache: KernelCacheCounters,
     /// One-time index mapping cost (busy cycles); 0 when not attached.
     pub index_build_cycles: u64,

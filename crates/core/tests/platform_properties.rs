@@ -29,7 +29,7 @@ proptest! {
             let id = id % (oracle.text_len() + 1);
             for base in Base::ALL {
                 prop_assert_eq!(
-                    mapped.lfm(base, id, &mut injector, &mut ledger),
+                    mapped.lfm(base, id, &mut injector, None, &mut ledger),
                     oracle.marker_table().lfm(oracle.bwt(), base, id)
                 );
             }
@@ -52,7 +52,7 @@ proptest! {
         let start = ((reference.len() - len) as f64 * start_frac) as usize;
         let read = reference.subseq(start..start + len);
         let (interval, _) =
-            exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
+            exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
         match oracle.backward_search(&read) {
             Some(expected) => prop_assert_eq!(interval, expected),
             None => prop_assert!(interval.is_empty()),

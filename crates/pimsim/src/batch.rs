@@ -25,8 +25,8 @@ use bioseq::Base;
 
 use crate::costs::LogicalOp;
 use crate::faults::FaultInjector;
+use crate::kernel_cache::KernelCache;
 use crate::ledger::CycleLedger;
-use crate::simd::{KernelCache, SimdPolicy};
 use crate::subarray::{MatchMask, SubArray};
 
 /// A batch of interleaved LFM compare-stage requests against one
@@ -143,6 +143,14 @@ impl LfmBatch {
     /// `(bucket, column)` when it lives in this sub-array), and reads
     /// the marker word. Returns the group count.
     ///
+    /// `cache` is an optional rank-checkpoint cache, its entries tagged
+    /// with `subarray_tag` (this sub-array's global index). A cache hit
+    /// skips the plane load and the 32-row marker gather on the *host*
+    /// but charges the platform the exact `XNOR_Match` + marker-read
+    /// sequence the recompute pays — masks, markers, every ledger field
+    /// and the fault draw order are byte-identical with and without the
+    /// cache, pinned by test.
+    ///
     /// # Panics
     ///
     /// Panics if called twice.
@@ -150,27 +158,6 @@ impl LfmBatch {
         &mut self,
         sub: &SubArray,
         sentinel: Option<(usize, usize)>,
-        ledger: &mut CycleLedger,
-    ) -> usize {
-        self.run_compare_with(sub, sentinel, SimdPolicy::Scalar, None, 0, ledger)
-    }
-
-    /// [`LfmBatch::run_compare`] under a SIMD policy and an optional
-    /// rank-checkpoint cache (tagged with this sub-array's global
-    /// index). A cache hit skips the plane load and the 32-row marker
-    /// gather on the *host* but charges the platform the exact
-    /// `XNOR_Match` + marker-read sequence the recompute pays — masks,
-    /// markers, every ledger field and the fault draw order are
-    /// byte-identical with and without the cache, pinned by test.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice.
-    pub fn run_compare_with(
-        &mut self,
-        sub: &SubArray,
-        sentinel: Option<(usize, usize)>,
-        policy: SimdPolicy,
         mut cache: Option<&mut KernelCache>,
         subarray_tag: u32,
         ledger: &mut CycleLedger,
@@ -202,7 +189,7 @@ impl LfmBatch {
                             (MatchMask(words), marker)
                         }
                         None => {
-                            let mut mask = sub.xnor_match_with(key.0, key.1, policy, ledger);
+                            let mut mask = sub.xnor_match(key.0, key.1, ledger);
                             if let Some((bucket, col)) = sentinel {
                                 if bucket == key.0 {
                                     mask.set(col, false);
@@ -236,7 +223,9 @@ impl LfmBatch {
     /// when the request's injector is active (transient burst first,
     /// then per-bit misreads, exactly the single-read draw order).
     /// `injectors` is indexed by request stream; pass an empty slice
-    /// when the campaign is inactive.
+    /// when the campaign is inactive. Faults always corrupt a private
+    /// copy of the shared group mask, so cached masks replay seeded
+    /// faults bit-identically.
     ///
     /// # Panics
     ///
@@ -245,25 +234,6 @@ impl LfmBatch {
         &self,
         sub: &SubArray,
         injectors: &mut [FaultInjector],
-        ledger: &mut CycleLedger,
-    ) -> Vec<u32> {
-        self.counts_with(sub, injectors, SimdPolicy::Scalar, ledger)
-    }
-
-    /// [`LfmBatch::counts`] under a SIMD policy: `Auto` dispatches the
-    /// masked prefix popcount to the hardware `popcnt` instruction when
-    /// available. Counts, charges and fault draws are identical across
-    /// policies; faults always corrupt a private copy of the shared
-    /// group mask, so cached masks replay seeded faults bit-identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the compare stage has not run.
-    pub fn counts_with(
-        &self,
-        sub: &SubArray,
-        injectors: &mut [FaultInjector],
-        policy: SimdPolicy,
         ledger: &mut CycleLedger,
     ) -> Vec<u32> {
         assert_eq!(
@@ -280,9 +250,9 @@ impl LfmBatch {
                         let mut mask = *shared;
                         injector.transient_row_mask(&mut mask);
                         injector.corrupt_match_mask(&mut mask, self.withins[i]);
-                        mask.count_prefix_with(self.withins[i], policy)
+                        mask.count_prefix(self.withins[i])
                     }
-                    _ => shared.count_prefix_with(self.withins[i], policy),
+                    _ => shared.count_prefix(self.withins[i]),
                 }
             })
             .collect()
@@ -329,7 +299,7 @@ mod tests {
         for &(s, bucket, base, within) in &schedule {
             batch.push(s, bucket, base, within);
         }
-        assert_eq!(batch.run_compare(&sub, None, &mut ledger), 3);
+        assert_eq!(batch.run_compare(&sub, None, None, 0, &mut ledger), 3);
         assert_eq!(batch.group_count(), 3);
         let counts = batch.counts(&sub, &mut [], &mut ledger);
         let mut single_ledger = CycleLedger::new();
@@ -362,7 +332,7 @@ mod tests {
         let mut batch = LfmBatch::new();
         batch.push(0, 1, Base::C, 128);
         batch.push(1, 1, Base::C, 128);
-        batch.run_compare(&sub, Some((1, 40)), &mut ledger);
+        batch.run_compare(&sub, Some((1, 40)), None, 0, &mut ledger);
         assert!(!batch.mask(0).get(40), "sentinel column must read 0");
         let mut reference = sub.xnor_match(1, Base::C, &mut ledger);
         reference.set(40, false);
@@ -370,7 +340,7 @@ mod tests {
         // A sentinel in a different bucket leaves the mask untouched.
         let mut other = LfmBatch::new();
         other.push(0, 2, Base::G, 128);
-        other.run_compare(&sub, Some((1, 40)), &mut ledger);
+        other.run_compare(&sub, Some((1, 40)), None, 0, &mut ledger);
         assert_eq!(other.mask(0), &sub.xnor_match(2, Base::G, &mut ledger));
     }
 
@@ -392,7 +362,7 @@ mod tests {
         for &(s, bucket, base, within) in &schedule {
             batch.push(s, bucket, base, within);
         }
-        batch.run_compare(&sub, None, &mut ledger);
+        batch.run_compare(&sub, None, None, 0, &mut ledger);
         let mut injectors = [
             FaultInjector::new(campaign.for_read(0)),
             FaultInjector::new(campaign.for_read(1)),
@@ -432,40 +402,32 @@ mod tests {
         // Two passes through the same keys: the first misses and
         // installs, the second hits every group.
         for pass in 0..2 {
-            let mut scalar_ledger = CycleLedger::new();
-            let mut scalar_batch = LfmBatch::new();
+            let mut uncached_ledger = CycleLedger::new();
+            let mut uncached_batch = LfmBatch::new();
             let mut cached_ledger = CycleLedger::new();
             let mut cached_batch = LfmBatch::new();
             for &(s, bucket, base, within) in &schedule {
-                scalar_batch.push(s, bucket, base, within);
+                uncached_batch.push(s, bucket, base, within);
                 cached_batch.push(s, bucket, base, within);
             }
-            scalar_batch.run_compare(&sub, sentinel, &mut scalar_ledger);
-            cached_batch.run_compare_with(
-                &sub,
-                sentinel,
-                SimdPolicy::Auto,
-                Some(&mut cache),
-                0,
-                &mut cached_ledger,
-            );
-            let scalar_counts = scalar_batch.counts(&sub, &mut [], &mut scalar_ledger);
-            let cached_counts =
-                cached_batch.counts_with(&sub, &mut [], SimdPolicy::Auto, &mut cached_ledger);
+            uncached_batch.run_compare(&sub, sentinel, None, 0, &mut uncached_ledger);
+            cached_batch.run_compare(&sub, sentinel, Some(&mut cache), 0, &mut cached_ledger);
+            let uncached_counts = uncached_batch.counts(&sub, &mut [], &mut uncached_ledger);
+            let cached_counts = cached_batch.counts(&sub, &mut [], &mut cached_ledger);
             for i in 0..schedule.len() {
-                assert_eq!(scalar_batch.mask(i), cached_batch.mask(i), "pass {pass}");
-                assert_eq!(scalar_batch.marker(i), cached_batch.marker(i));
+                assert_eq!(uncached_batch.mask(i), cached_batch.mask(i), "pass {pass}");
+                assert_eq!(uncached_batch.marker(i), cached_batch.marker(i));
             }
-            assert_eq!(scalar_counts, cached_counts, "pass {pass}");
+            assert_eq!(uncached_counts, cached_counts, "pass {pass}");
             // Every simulated charge — cycles, energy, primitives —
             // is byte-identical; only the host-side cache counters
             // differ between the ledgers.
             assert_eq!(
-                scalar_ledger.total_busy_cycles(),
+                uncached_ledger.total_busy_cycles(),
                 cached_ledger.total_busy_cycles()
             );
-            assert_eq!(scalar_ledger.energy_pj(), cached_ledger.energy_pj());
-            assert_eq!(scalar_ledger.primitives(), cached_ledger.primitives());
+            assert_eq!(uncached_ledger.energy_pj(), cached_ledger.energy_pj());
+            assert_eq!(uncached_ledger.primitives(), cached_ledger.primitives());
             let cc = cached_ledger.kernel_cache_counters();
             if pass == 0 {
                 assert_eq!((cc.hits, cc.misses), (0, 3), "3 distinct groups install");
@@ -473,7 +435,7 @@ mod tests {
                 assert_eq!((cc.hits, cc.misses), (3, 0), "second pass all hits");
             }
             assert_eq!(cc.evictions, 0);
-            assert_eq!(scalar_ledger.kernel_cache_counters().lookups(), 0);
+            assert_eq!(uncached_ledger.kernel_cache_counters().lookups(), 0);
         }
     }
 
@@ -483,8 +445,8 @@ mod tests {
         let (sub, mut ledger) = loaded_subarray();
         let mut batch = LfmBatch::new();
         batch.push(0, 0, bases()[0], 10);
-        batch.run_compare(&sub, None, &mut ledger);
-        batch.run_compare(&sub, None, &mut ledger);
+        batch.run_compare(&sub, None, None, 0, &mut ledger);
+        batch.run_compare(&sub, None, None, 0, &mut ledger);
     }
 
     #[test]

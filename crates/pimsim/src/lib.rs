@@ -32,10 +32,9 @@
 //! * [`costs`] — the logical-operation cost table (cycles per
 //!   `XNOR_Match`, marker read, 32-bit `IM_ADD`, …) documented in
 //!   DESIGN.md §6;
-//! * [`simd`] — runtime-dispatched SIMD lanes (AVX2/SSE2/portable) for
-//!   the packed plane ops plus the rank-checkpoint [`KernelCache`]:
-//!   host-wall-clock accelerations that leave every simulated charge
-//!   byte-identical (DESIGN.md §16).
+//! * [`KernelCache`] — the rank-checkpoint cache: a host-wall-clock
+//!   memoization of the `LFM` compare stage that leaves every simulated
+//!   charge byte-identical (DESIGN.md §16).
 //!
 //! Functional results are validated in two directions: against the
 //! `mram` sense-amplifier model (every bulk op agrees with what the
@@ -48,10 +47,10 @@ pub mod host;
 pub mod metrics;
 pub mod pipeline;
 pub mod reference;
-pub mod simd;
 
 mod dpu;
 mod faults;
+mod kernel_cache;
 mod ledger;
 mod subarray;
 
@@ -59,8 +58,8 @@ pub use batch::LfmBatch;
 pub use dpu::{BacktrackState, Dpu};
 pub use faults::{FaultCounters, FaultInjector};
 pub use host::{chrome_trace_json, HostEpoch, HostHistogram, HostSpan, HostSpanLog, WorkerStats};
+pub use kernel_cache::KernelCache;
 pub use ledger::{CycleLedger, KernelCacheCounters, Resource};
 pub use metrics::{PrimCounters, Span, SpanTracer};
 pub use pipeline::{PipelineCounters, PipelineParams, PipelineSim};
-pub use simd::{dispatched_path, KernelCache, SimdPolicy};
 pub use subarray::{validate_functions_against_circuit, MatchMask, SubArray, SubArrayLayout};

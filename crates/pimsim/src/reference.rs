@@ -178,35 +178,7 @@ pub fn packed_compare_stage(
     injector: Option<&mut crate::FaultInjector>,
     ledger: &mut CycleLedger,
 ) -> u32 {
-    packed_compare_stage_with(
-        sa,
-        bucket,
-        base,
-        sentinel,
-        within,
-        crate::simd::SimdPolicy::Scalar,
-        injector,
-        ledger,
-    )
-}
-
-/// [`packed_compare_stage`] with an explicit host kernel policy: the
-/// same logical structure and ledger charges, with the plane combine
-/// and the prefix popcount dispatched through `simd::plane_match` /
-/// `simd::masked_count`. `kernelbench` times the scalar and auto
-/// policies against each other; the lane choice never moves a charge.
-#[allow(clippy::too_many_arguments)]
-pub fn packed_compare_stage_with(
-    sa: &crate::SubArray,
-    bucket: usize,
-    base: Base,
-    sentinel: Option<usize>,
-    within: usize,
-    policy: crate::simd::SimdPolicy,
-    injector: Option<&mut crate::FaultInjector>,
-    ledger: &mut CycleLedger,
-) -> u32 {
-    let mut matches = sa.xnor_match_with(bucket, base, policy, ledger);
+    let mut matches = sa.xnor_match(bucket, base, ledger);
     if let Some(pos) = sentinel {
         matches.set(pos, false);
     }
@@ -215,7 +187,7 @@ pub fn packed_compare_stage_with(
         injector.transient_row_mask(&mut matches);
         injector.corrupt_match_mask(&mut matches, within);
     }
-    matches.count_prefix_with(within, policy)
+    matches.count_prefix(within)
 }
 
 #[cfg(test)]

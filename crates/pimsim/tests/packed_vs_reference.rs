@@ -12,7 +12,7 @@ use mram::array::ArrayModel;
 use mram::faults::{FaultCampaign, FaultModel};
 use pimsim::costs::LogicalOp;
 use pimsim::reference::{packed_compare_stage, reference_compare_stage, BoolSubArray};
-use pimsim::{CycleLedger, FaultInjector, KernelCache, LfmBatch, SimdPolicy, SubArray};
+use pimsim::{CycleLedger, FaultInjector, KernelCache, LfmBatch, SubArray};
 use proptest::prelude::*;
 
 /// Builds the packed and the reference sub-array with identical BWT
@@ -130,7 +130,7 @@ proptest! {
         }
         let mut ledger_b = CycleLedger::new();
         let groups =
-            batch.run_compare(&packed, sentinel.map(|col| (0, col)), &mut ledger_b);
+            batch.run_compare(&packed, sentinel.map(|col| (0, col)), None, 0, &mut ledger_b);
         let counts = batch.counts(&packed, &mut [], &mut ledger_b);
         // The plane load was charged once per (bucket, base) group, not
         // once per request.
@@ -174,7 +174,7 @@ proptest! {
                 let (stream, rank, within) = (enc % 4, (enc / 4) % 4, enc / 16);
                 batch.push(stream, 0, Base::from_rank(rank), within);
             }
-            batch.run_compare(&packed, sentinel.map(|col| (0, col)), &mut ledger_b);
+            batch.run_compare(&packed, sentinel.map(|col| (0, col)), None, 0, &mut ledger_b);
             let counts = batch.counts(&packed, &mut inj_b, &mut ledger_b);
             for (i, &enc) in sched_enc.iter().enumerate() {
                 let (stream, rank, within) = (enc % 4, (enc / 4) % 4, enc / 16);
@@ -195,46 +195,13 @@ proptest! {
         }
     }
 
-    /// PR 9: the SIMD-dispatched kernel is a third implementation of the
-    /// same compare stage. Over random rows, all three — boolean
-    /// reference, packed scalar, packed SIMD — agree bit-for-bit and
-    /// cycle-for-cycle on every base and prefix limit.
+    /// The cached batch path replays the uncached fault streams in
+    /// lock-step. A rank-checkpoint cache hit must charge the exact op
+    /// sequence the recompute pays and corrupt a private mask copy, so
+    /// counts, injector counters, cycles, and primitives all match the
+    /// uncached batch — across rounds, where later rounds hit the cache.
     #[test]
-    fn simd_kernel_is_bit_and_cycle_identical_to_scalar_and_reference(
-        codes in proptest::collection::vec(0u8..4, 0..=128),
-        stuck_enc in proptest::collection::vec(0usize..512, 0..6),
-        within in 0usize..=128,
-    ) {
-        let (packed, reference) = twin_arrays(&codes, &stuck_enc);
-        let mut ledger_v = CycleLedger::new();
-        let mut ledger_s = CycleLedger::new();
-        let mut ledger_r = CycleLedger::new();
-        for base in Base::ALL {
-            let simd = packed.xnor_match_with(0, base, SimdPolicy::Auto, &mut ledger_v);
-            let scalar = packed.xnor_match_with(0, base, SimdPolicy::Scalar, &mut ledger_s);
-            let bools = reference.xnor_match(0, base, &mut ledger_r);
-            prop_assert_eq!(simd.0, scalar.0, "mask words, base {}", base);
-            prop_assert_eq!(simd.to_bools(), bools, "base {}", base);
-            prop_assert_eq!(
-                simd.count_prefix_with(within, SimdPolicy::Auto),
-                scalar.count_prefix_with(within, SimdPolicy::Scalar),
-                "prefix count at {}, base {}", within, base
-            );
-        }
-        // The lane choice is invisible to the platform: identical charges.
-        prop_assert_eq!(ledger_v.total_busy_cycles(), ledger_s.total_busy_cycles());
-        prop_assert_eq!(ledger_v.primitives(), ledger_s.primitives());
-        prop_assert_eq!(ledger_s.total_busy_cycles(), ledger_r.total_busy_cycles());
-    }
-
-    /// PR 9: the cached SIMD batch path replays the scalar fault streams
-    /// in lock-step. A rank-checkpoint cache hit must charge the exact
-    /// op sequence the recompute pays and corrupt a private mask copy,
-    /// so counts, injector counters, cycles, and primitives all match
-    /// the uncached scalar batch — across rounds, where later rounds hit
-    /// the cache.
-    #[test]
-    fn cached_simd_batch_replays_scalar_fault_streams_lock_step(
+    fn cached_batch_replays_uncached_fault_streams_lock_step(
         codes in proptest::collection::vec(0u8..4, 1..=128),
         stuck_enc in proptest::collection::vec(0usize..512, 0..4),
         seed in any::<u64>(),
@@ -262,16 +229,15 @@ proptest! {
                 batch_v.push(stream, 0, Base::from_rank(rank), within);
                 batch_s.push(stream, 0, Base::from_rank(rank), within);
             }
-            batch_v.run_compare_with(
+            batch_v.run_compare(
                 &packed,
                 sentinel.map(|col| (0, col)),
-                SimdPolicy::Auto,
                 Some(&mut cache),
                 0,
                 &mut ledger_v,
             );
-            let counts_v = batch_v.counts_with(&packed, &mut inj_v, SimdPolicy::Auto, &mut ledger_v);
-            batch_s.run_compare(&packed, sentinel.map(|col| (0, col)), &mut ledger_s);
+            let counts_v = batch_v.counts(&packed, &mut inj_v, &mut ledger_v);
+            batch_s.run_compare(&packed, sentinel.map(|col| (0, col)), None, 0, &mut ledger_s);
             let counts_s = batch_s.counts(&packed, &mut inj_s, &mut ledger_s);
             prop_assert_eq!(&counts_v, &counts_s, "round {}", round);
             for i in 0..batch_v.len() {

@@ -25,10 +25,6 @@
 //!   --batch-size <N>      reads aligned per streamed chunk (default 4096)
 //!   --kernel-batch <N>    reads interleaved per LFM kernel batch
 //!                         (default 8; 1 = single-read kernel path)
-//!   --kernel-simd <P>     host kernel policy: auto (SIMD dispatch +
-//!                         rank-checkpoint cache, default) or scalar
-//!                         (portable word loop, cache off); simulated
-//!                         cycles and SAM output are identical either way
 //!   --fault-seed <S>      seed for the fault-injection campaign
 //!   --fault-xnor <P>      per-bit XNOR sense-misread probability
 //!   --fault-stuck <R>     stuck-at cell rate in the data zones
@@ -78,9 +74,7 @@ use pim_aligner_suite::pim_aligner::{
     IndexArtifact, MappedStrand, PimAlignerConfig, Platform, RecoveryPolicy, ShardedPlatform,
     DEFAULT_KERNEL_BATCH,
 };
-use pim_aligner_suite::pimsim::{
-    chrome_trace_json, dispatched_path, HostEpoch, HostSpan, SimdPolicy,
-};
+use pim_aligner_suite::pimsim::{chrome_trace_json, HostEpoch, HostSpan};
 
 /// Wraps the raw reads file and counts bytes consumed, so `--progress`
 /// can estimate completion from file position without a pre-pass over
@@ -213,7 +207,6 @@ struct Cli {
     threads: usize,
     batch_size: usize,
     kernel_batch: usize,
-    kernel_simd: SimdPolicy,
     fault_seed: u64,
     fault_xnor: f64,
     fault_stuck: f64,
@@ -273,7 +266,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         threads: 1,
         batch_size: 4_096,
         kernel_batch: DEFAULT_KERNEL_BATCH,
-        kernel_simd: SimdPolicy::Auto,
         fault_seed: 0x5eed,
         fault_xnor: 0.0,
         fault_stuck: 0.0,
@@ -332,7 +324,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     );
                 }
             }
-            "--kernel-simd" => cli.kernel_simd = parse_flag(args, &mut i, "--kernel-simd")?,
             "--fault-seed" => cli.fault_seed = parse_flag(args, &mut i, "--fault-seed")?,
             "--fault-xnor" => cli.fault_xnor = parse_prob(args, &mut i, "--fault-xnor")?,
             "--fault-stuck" => cli.fault_stuck = parse_prob(args, &mut i, "--fault-stuck")?,
@@ -456,13 +447,7 @@ fn run() -> Result<(), CliError> {
         .with_max_diffs(cli.max_diffs)
         .with_indels(cli.indels)
         .with_kernel_batch(cli.kernel_batch)
-        .with_kernel_simd(cli.kernel_simd)
         .with_fault_campaign(campaign);
-    eprintln!(
-        "pimalign: kernel dispatch {} (--kernel-simd {})",
-        dispatched_path(cli.kernel_simd),
-        cli.kernel_simd.name()
-    );
     if cli.pd >= 2 {
         config = config.with_pd(cli.pd);
     }

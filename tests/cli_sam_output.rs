@@ -267,6 +267,8 @@ fn usage_errors_exit_2_with_named_flags() {
         (&["a", "b", "--batch-size", "0"][..], "--batch-size"),
         (&["a", "b", "--pd", "0"][..], "--pd"),
         (&["a", "b", "--max-diffs", "99"][..], "--max-diffs"),
+        (&["a", "b", "--kernel-simd", "auto"][..], "unknown option"),
+        (&["a", "b", "--kernel-batch", "0"][..], "--kernel-batch"),
     ] {
         let (code, stderr) = run_cli_code(args);
         assert_eq!(code, 2, "{args:?} must exit 2 (usage), stderr: {stderr}");

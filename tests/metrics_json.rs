@@ -8,11 +8,20 @@
 //! message says how) and update the consumers.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bench::json::{self, Value};
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("pimalign_metrics_{name}_{}", std::process::id()));
+/// Per-call suffix for temp paths: the tests in this file run in
+/// parallel in one process, so the pid alone would let one test delete
+/// another's files.
+static RUN_ID: AtomicUsize = AtomicUsize::new(0);
+
+fn write_temp(name: &str, run: usize, contents: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "pimalign_metrics_{name}_{}_{run}",
+        std::process::id()
+    ));
     std::fs::write(&path, contents).expect("write temp file");
     path
 }
@@ -20,15 +29,18 @@ fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
 /// Runs the CLI over a tiny FASTA/FASTQ pair with `--metrics` and
 /// returns the parsed metrics document.
 fn run_with_metrics(extra: &[&str]) -> Value {
+    let run = RUN_ID.fetch_add(1, Ordering::Relaxed);
     let reference = write_temp(
         "ref.fa",
+        run,
         ">chrT test\nTGCTAGCATGAACCTTGGAACGTACGTTAGCATCGATCGGATTACAGATTACAGGG\n",
     );
     let reads = write_temp(
         "reads.fq",
+        run,
         "@exact\nGATTACAGATTACA\n+\nIIIIIIIIIIIIII\n@mismatch\nGGAACGTACGTTAGCATCGAAC\n+\nIIIIIIIIIIIIIIIIIIIIII\n",
     );
-    let metrics = write_temp("out.json", "");
+    let metrics = write_temp("out.json", run, "");
     let mut args = vec![
         reference.to_str().unwrap().to_owned(),
         reads.to_str().unwrap().to_owned(),
@@ -74,13 +86,16 @@ fn metrics_json_is_valid_and_reconciles() {
     assert_eq!(as_u64(&doc, "obs.window_secs"), 0);
 
     // v6: the rank-checkpoint cache section is present and internally
-    // consistent. The default policy (auto) runs the cache, so an
-    // aligning run records lookups; the hit counters are host-side
+    // consistent. Every session runs the cache on its exact stage, so
+    // an aligning run records lookups; the hit counters are host-side
     // observability and never perturb the simulated totals checked
     // below.
     let hits = as_u64(&doc, "breakdown.kernel_cache.hits");
     let misses = as_u64(&doc, "breakdown.kernel_cache.misses");
-    assert!(hits + misses > 0, "auto policy must record cache lookups");
+    assert!(
+        hits + misses > 0,
+        "the exact stage must record cache lookups"
+    );
     let hit_rate = doc
         .get("breakdown.kernel_cache.hit_rate")
         .and_then(Value::as_f64)

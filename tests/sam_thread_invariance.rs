@@ -106,35 +106,20 @@ fn eight_threads_emit_byte_identical_sam_to_one_thread() {
     assert!(ok, "--progress run failed: {stderr}");
     assert_eq!(sam_progress, sam_1t, "--progress changed the SAM stream");
 
-    // The interleaved batch kernel and the SIMD lane are pure host-side
-    // changes: every --kernel-simd × --kernel-batch × --threads
-    // combination must reproduce the same bytes (batch 1 is the
-    // single-read path and scalar is the PR-8 kernel, so this ties the
-    // SIMD + cache path to both end-to-end).
-    for (simd, batch, threads) in [
-        ("auto", "1", "8"),
-        ("auto", "8", "1"),
-        ("auto", "8", "8"),
-        ("scalar", "1", "1"),
-        ("scalar", "8", "8"),
-    ] {
+    // The interleaved batch kernel is a pure host-side change: every
+    // --kernel-batch × --threads combination must reproduce the same
+    // bytes (batch 1 is the single-read path).
+    for (batch, threads) in [("1", "1"), ("1", "8"), ("8", "1"), ("8", "8")] {
         let mut combo: Vec<&str> = base.to_vec();
-        combo.extend_from_slice(&[
-            "--threads",
-            threads,
-            "--kernel-batch",
-            batch,
-            "--kernel-simd",
-            simd,
-        ]);
+        combo.extend_from_slice(&["--threads", threads, "--kernel-batch", batch]);
         let (sam_combo, stderr, ok) = run_cli(&combo);
         assert!(
             ok,
-            "--kernel-simd {simd} --kernel-batch {batch} --threads {threads} failed: {stderr}"
+            "--kernel-batch {batch} --threads {threads} failed: {stderr}"
         );
         assert_eq!(
             sam_combo, sam_1t,
-            "--kernel-simd {simd} --kernel-batch {batch} --threads {threads} diverged"
+            "--kernel-batch {batch} --threads {threads} diverged"
         );
     }
 
@@ -174,43 +159,27 @@ fn kernel_batch_and_threads_invariant_under_seeded_faults() {
         "--fault-carry",
         "0.001",
     ];
-    let run = |simd: &str, batch: &str, threads: &str| {
+    let run = |batch: &str, threads: &str| {
         let mut args = vec![reference.to_str().unwrap(), reads.to_str().unwrap()];
         args.extend_from_slice(&fault_args);
-        args.extend_from_slice(&[
-            "--kernel-simd",
-            simd,
-            "--kernel-batch",
-            batch,
-            "--threads",
-            threads,
-        ]);
+        args.extend_from_slice(&["--kernel-batch", batch, "--threads", threads]);
         let (sam, stderr, ok) = run_cli(&args);
         assert!(
             ok,
-            "--kernel-simd {simd} --kernel-batch {batch} --threads {threads} failed: {stderr}"
+            "--kernel-batch {batch} --threads {threads} failed: {stderr}"
         );
         sam
     };
-    // Scalar × batch 1 × 1 thread is the PR-8 baseline path: a cache
-    // hit replaying a fault stream differently from the recompute would
-    // show up here as a byte diff.
-    let expected = run("scalar", "1", "1");
+    // Batch 1 × 1 thread is the single-read baseline path. (Cache hits
+    // replaying fault streams exactly like the recompute is pinned at
+    // the kernel level, in the core crate's cache-on vs cache-off test.)
+    let expected = run("1", "1");
     assert!(expected.lines().count() > 32, "SAM looks truncated");
-    for (simd, batch, threads) in [
-        ("auto", "1", "1"),
-        ("auto", "1", "8"),
-        ("auto", "8", "1"),
-        ("auto", "8", "8"),
-        ("scalar", "1", "8"),
-        ("scalar", "8", "1"),
-        ("scalar", "8", "8"),
-    ] {
+    for (batch, threads) in [("1", "8"), ("8", "1"), ("8", "8")] {
         assert_eq!(
-            run(simd, batch, threads),
+            run(batch, threads),
             expected,
-            "--kernel-simd {simd} --kernel-batch {batch} --threads {threads} \
-             diverged under seeded faults"
+            "--kernel-batch {batch} --threads {threads} diverged under seeded faults"
         );
     }
 
